@@ -1,16 +1,103 @@
-//! The JODA-like engine: in-memory, multi-threaded, with Delta-Tree-style
-//! reuse of intermediate results.
+//! The JODA-like engine, generic over how predicates are evaluated.
 
 use crate::{
     CancelToken, CostModel, CostProfile, Engine, EngineError, ExecutionReport, QueryOutcome,
     WorkCounters,
 };
 use betze_json::Value;
-use betze_model::{Predicate, Query};
+use betze_model::{Aggregation, Predicate, Query};
+use betze_stats::DatasetAnalysis;
 use betze_store::PagedCorpus;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Scans over fewer documents than this run on the calling thread
+/// whatever the thread count: spawning would cost more than it saves.
+const PARALLEL_MIN_DOCS: usize = 1024;
+
+/// How a [`Joda`] engine decides which documents match a predicate and
+/// runs aggregations: an execution *strategy* only. Everything that
+/// determines results and charges belongs to the engine, so evaluators
+/// that select the same documents are bit-identical by construction.
+pub trait Evaluator: Default + fmt::Debug {
+    /// The engine's display name, harness short name, and cancellation
+    /// message prefix.
+    const NAME: &'static str;
+    const SHORT_NAME: &'static str;
+    const TAG: &'static str = Self::NAME;
+
+    /// A predicate prepared for scanning (a subset of) one dataset,
+    /// shared read-only by the scan workers.
+    type Plan: Sync;
+
+    fn plan(&mut self, base: &str, predicate: &Predicate) -> Self::Plan;
+
+    /// Appends the documents of `docs` that match, in document order.
+    /// Threaded scans call this on a fresh `Self::default()` per worker.
+    fn select(
+        &mut self,
+        plan: &Self::Plan,
+        predicate: &Predicate,
+        docs: &[Value],
+        out: &mut Vec<Value>,
+    );
+
+    /// A whole-corpus fast path tried before [`select`](Self::select)
+    /// on in-memory scans; `None` declines it.
+    fn select_projected(
+        &mut self,
+        _plan: &Self::Plan,
+        _docs: &Arc<Vec<Value>>,
+    ) -> Option<Vec<Value>> {
+        None
+    }
+
+    fn aggregate(&mut self, agg: &Aggregation, docs: &[Value]) -> Vec<Value>;
+
+    /// Dataset lifecycle: `name` was (re-)imported with this analysis;
+    /// `store` now holds a result computed over `base`; `name` was
+    /// forgotten; every dataset was dropped.
+    fn bind_base(&mut self, _name: &str, _analysis: impl FnOnce() -> DatasetAnalysis) {}
+    fn bind_stored(&mut self, _base: &str, _store: &str, _transformed: bool) {}
+    fn unbind(&mut self, _name: &str) {}
+    fn clear(&mut self) {}
+}
+
+/// The reference evaluator: [`Predicate::matches`] per document and
+/// [`Aggregation::eval`].
+#[derive(Debug, Default)]
+pub struct TreeWalk;
+
+impl Evaluator for TreeWalk {
+    const NAME: &'static str = "JODA";
+    const SHORT_NAME: &'static str = "joda";
+
+    type Plan = ();
+
+    fn plan(&mut self, _base: &str, _predicate: &Predicate) {}
+
+    fn select(&mut self, _plan: &(), predicate: &Predicate, docs: &[Value], out: &mut Vec<Value>) {
+        out.extend(docs.iter().filter(|d| predicate.matches(d)).cloned());
+    }
+
+    fn aggregate(&mut self, agg: &Aggregation, docs: &[Value]) -> Vec<Value> {
+        agg.eval(docs)
+    }
+}
+
+/// The tree-walking JODA simulation (the paper's JODA row).
+pub type JodaSim = Joda<TreeWalk>;
+
+/// Where a dataset's documents live.
+#[derive(Debug, Clone)]
+enum Base {
+    /// Parsed documents in memory: imported bases and stored results.
+    Ram(Arc<Vec<Value>>),
+    /// A sealed `.bcorp` corpus on disk, scanned page-at-a-time.
+    Paged(Arc<PagedCorpus>),
+}
 
 /// A simulation of JODA (Schäfer & Michel, ICDE 2020): a vertically
 /// scalable, in-memory JSON processor.
@@ -27,7 +114,8 @@ use std::time::Instant;
 ///   `(base, predicate)`; a query whose predicate *extends* a cached one
 ///   (the composed-predicate export of §IV-C always has this shape) only
 ///   evaluates the extension on the cached subset. This is what produces
-///   the declining per-query runtimes of Fig. 5.
+///   the declining per-query runtimes of Fig. 5. Re-binding a name (an
+///   import or a `store_as` over it) drops its entries.
 /// * **Eviction mode** (`JodaSim::with_eviction`) — drops parsed data
 ///   after every query and re-parses from the stored raw text, modeling a
 ///   memory-constrained deployment (Table II's "JODA memory evicted").
@@ -38,36 +126,175 @@ use std::time::Instant;
 ///   its residence differs), so results, counters and modeled times are
 ///   bit-identical; a corrupt page surfaces as a typed
 ///   [`EngineError::Storage`] degrading that query, never a wrong answer.
+///
+/// Which documents match is delegated to the [`Evaluator`] `E`:
+/// [`JodaSim`] tree-walks, [`VmEngine`](crate::VmEngine) runs compiled
+/// bytecode (DESIGN.md §14).
 #[derive(Debug)]
-pub struct JodaSim {
+pub struct Joda<E> {
     threads: usize,
     eviction: bool,
     output_enabled: bool,
     cancel: CancelToken,
-    datasets: HashMap<String, Arc<Vec<Value>>>,
-    /// Disk-resident base corpora, scanned page-at-a-time.
-    paged: HashMap<String, Arc<PagedCorpus>>,
+    datasets: HashMap<String, Base>,
     /// Raw JSON-lines text kept for eviction-mode re-imports.
     raw: HashMap<String, String>,
-    /// Delta-Tree-style cache: canonical `(base | predicate)` key → result.
-    cache: HashMap<String, Arc<Vec<Value>>>,
+    /// Delta-Tree-style cache: dataset name → predicate → result.
+    cache: HashMap<String, HashMap<String, Arc<Vec<Value>>>>,
+    pub(crate) eval: E,
 }
 
-impl JodaSim {
-    /// An in-memory JODA with the given scan thread count.
+impl<E: Evaluator> Joda<E> {
+    /// An in-memory engine with the given scan thread count.
     pub fn new(threads: usize) -> Self {
-        JodaSim {
+        Joda {
             threads: threads.max(1),
             eviction: false,
             output_enabled: true,
             cancel: CancelToken::new(),
             datasets: HashMap::new(),
-            paged: HashMap::new(),
             raw: HashMap::new(),
             cache: HashMap::new(),
+            eval: E::default(),
         }
     }
 
+    fn report(&self, started: Instant, counters: WorkCounters) -> ExecutionReport {
+        let model = CostModel::new(CostProfile::joda(), self.threads);
+        ExecutionReport::from_counters(started.elapsed(), counters, &model)
+    }
+
+    fn check(&self, what: &str) -> Result<(), EngineError> {
+        self.cancel.check(&format!("{} {what}", E::TAG))
+    }
+
+    /// Binds `name` to `base`. Results cached under the name's previous
+    /// binding no longer describe it, so they go.
+    fn bind(&mut self, name: &str, base: Base) {
+        self.cache.remove(name);
+        self.raw.remove(name);
+        self.datasets.insert(name.to_owned(), base);
+    }
+
+    /// Multi-threaded filter scan over a document slice. Polls the cancel
+    /// token once per scan — composed predicates recurse through
+    /// [`filtered`](Self::filtered), so a query polls at every level of
+    /// its predicate chain.
+    fn scan(
+        &mut self,
+        base: &str,
+        docs: &Arc<Vec<Value>>,
+        predicate: &Predicate,
+        counters: &mut WorkCounters,
+    ) -> Result<Vec<Value>, EngineError> {
+        self.check("scan")?;
+        counters.docs_scanned += docs.len() as u64;
+        // Leaf count per doc is an upper bound (short-circuiting evaluates
+        // fewer), charged from the predicate as written whatever the
+        // evaluator runs: the cost model prices the stated work.
+        counters.predicate_evals += predicate.leaf_count() as u64 * docs.len() as u64;
+        let plan = self.eval.plan(base, predicate);
+        let out = if let Some(out) = self.eval.select_projected(&plan, docs) {
+            out
+        } else if self.threads <= 1 || docs.len() < PARALLEL_MIN_DOCS {
+            let mut out = Vec::new();
+            self.eval.select(&plan, predicate, docs, &mut out);
+            out
+        } else {
+            let chunk = docs.len().div_ceil(self.threads);
+            let plan = &plan;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = docs
+                    .chunks(chunk)
+                    .map(|part| {
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            E::default().select(plan, predicate, part, &mut out);
+                            out
+                        })
+                    })
+                    .collect();
+                let mut out = Vec::new();
+                for handle in handles {
+                    out.extend(handle.join().expect("scan worker panicked"));
+                }
+                out
+            })
+        };
+        // The filtered set becomes an in-memory intermediate dataset
+        // (JODA materializes result sets for reuse).
+        counters.docs_materialized += out.len() as u64;
+        Ok(out)
+    }
+
+    /// A whole-dataset scan, the only one that knows where the base
+    /// lives. A disk-resident corpus streams one page's documents at a
+    /// time; per-page charges sum to exactly what [`scan`](Self::scan)
+    /// charges for the whole corpus, so only the residence of the data
+    /// differs. A damaged page aborts the scan with a typed storage
+    /// error instead of returning a partial result.
+    fn scan_base(
+        &mut self,
+        name: &str,
+        base: &Base,
+        predicate: &Predicate,
+        counters: &mut WorkCounters,
+    ) -> Result<Vec<Value>, EngineError> {
+        let corpus = match base {
+            Base::Ram(docs) => return self.scan(name, docs, predicate, counters),
+            Base::Paged(corpus) => corpus,
+        };
+        let leaves = predicate.leaf_count() as u64;
+        let plan = self.eval.plan(name, predicate);
+        let mut out = Vec::new();
+        for index in 0..corpus.page_count() {
+            self.check("scan")?;
+            let page = corpus
+                .read_page(index)
+                .map_err(|e| EngineError::from_store(&e, "scan page"))?;
+            counters.docs_scanned += page.docs.len() as u64;
+            counters.predicate_evals += leaves * page.docs.len() as u64;
+            self.eval.select(&plan, predicate, &page.docs, &mut out);
+        }
+        counters.docs_materialized += out.len() as u64;
+        Ok(out)
+    }
+
+    /// Resolves the filtered document set for `(name, predicate)`,
+    /// reusing cached intermediate results where possible.
+    fn filtered(
+        &mut self,
+        name: &str,
+        base: &Base,
+        predicate: &Predicate,
+        counters: &mut WorkCounters,
+    ) -> Result<Arc<Vec<Value>>, EngineError> {
+        if self.eviction {
+            return Ok(Arc::new(self.scan_base(name, base, predicate, counters)?));
+        }
+        let key = predicate.to_string();
+        if let Some(hit) = self.cache.get(name).and_then(|entries| entries.get(&key)) {
+            counters.cache_hits += 1;
+            return Ok(Arc::clone(hit));
+        }
+        // Composed predicates have the shape And(parent_chain, local):
+        // resolve the left side (recursively cacheable), then evaluate
+        // only the extension on that in-memory subset.
+        let result = Arc::new(if let Predicate::And(left, right) = predicate {
+            let parent = self.filtered(name, base, left, counters)?;
+            self.scan(name, &parent, right, counters)?
+        } else {
+            self.scan_base(name, base, predicate, counters)?
+        });
+        self.cache
+            .entry(name.to_owned())
+            .or_default()
+            .insert(key, Arc::clone(&result));
+        Ok(result)
+    }
+}
+
+impl Joda<TreeWalk> {
     /// JODA in memory-eviction mode: parsed data is dropped after each
     /// query and re-read from the raw text, "just as the other systems
     /// have to" (paper §VI-B).
@@ -82,164 +309,19 @@ impl JodaSim {
     pub fn eviction(&self) -> bool {
         self.eviction
     }
-
-    fn model(&self) -> CostModel {
-        CostModel::new(CostProfile::joda(), self.threads)
-    }
-
-    fn cache_key(base: &str, predicate: &Predicate) -> String {
-        format!("{base}|{predicate}")
-    }
-
-    /// Multi-threaded filter scan over a document slice. Polls the cancel
-    /// token once per scan — composed predicates recurse through
-    /// [`filtered`](Self::filtered), so a query polls at every level of
-    /// its predicate chain.
-    fn scan(
-        &self,
-        docs: &[Value],
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
-        self.cancel.check("JODA scan")?;
-        counters.docs_scanned += docs.len() as u64;
-        let leaves = predicate.leaf_count() as u64;
-        // Leaf count per doc is an upper bound (short-circuiting evaluates
-        // fewer); the cost model treats it as the scan's predicate work.
-        counters.predicate_evals += leaves * docs.len() as u64;
-        if self.threads <= 1 || docs.len() < 1024 {
-            let out: Vec<Value> = docs
-                .iter()
-                .filter(|d| predicate.matches(d))
-                .cloned()
-                .collect();
-            // The filtered set becomes an in-memory intermediate dataset
-            // (JODA materializes result sets for reuse).
-            counters.docs_materialized += out.len() as u64;
-            return Ok(out);
-        }
-        let chunk = docs.len().div_ceil(self.threads);
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .filter(|d| predicate.matches(d))
-                            .cloned()
-                            .collect::<Vec<Value>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::new();
-            for handle in handles {
-                out.extend(handle.join().expect("scan worker panicked"));
-            }
-            counters.docs_materialized += out.len() as u64;
-            out
-        }))
-    }
-
-    /// Resolves the filtered document set for `(base, predicate)`, reusing
-    /// cached intermediate results where possible.
-    fn filtered(
-        &mut self,
-        base: &str,
-        base_docs: &Arc<Vec<Value>>,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
-        if !self.eviction {
-            let key = Self::cache_key(base, predicate);
-            if let Some(hit) = self.cache.get(&key) {
-                counters.cache_hits += 1;
-                return Ok(Arc::clone(hit));
-            }
-            // Composed predicates have the shape And(parent_chain, local):
-            // resolve the left side (recursively cacheable), then evaluate
-            // only the extension on that subset.
-            let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
-                let parent = self.filtered(base, base_docs, left, counters)?;
-                Arc::new(self.scan(&parent, right, counters)?)
-            } else {
-                Arc::new(self.scan(base_docs, predicate, counters)?)
-            };
-            self.cache.insert(key, Arc::clone(&result));
-            Ok(result)
-        } else {
-            Ok(Arc::new(self.scan(base_docs, predicate, counters)?))
-        }
-    }
-
-    /// Streaming filter scan over a disk-resident corpus: one page's
-    /// documents in memory at a time. Per-page charges sum to exactly
-    /// what [`scan`](Self::scan) charges for the whole corpus, so the
-    /// modeled clock cannot tell the paths apart; only the residence of
-    /// the data differs. A damaged page aborts the scan with a typed
-    /// storage error instead of returning a partial result.
-    fn scan_paged(
-        &self,
-        corpus: &PagedCorpus,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
-        let leaves = predicate.leaf_count() as u64;
-        let mut out = Vec::new();
-        for index in 0..corpus.page_count() {
-            self.cancel.check("JODA scan")?;
-            let page = corpus
-                .read_page(index)
-                .map_err(|e| EngineError::from_store(&e, "scan page"))?;
-            counters.docs_scanned += page.docs.len() as u64;
-            counters.predicate_evals += leaves * page.docs.len() as u64;
-            out.extend(page.docs.iter().filter(|d| predicate.matches(d)).cloned());
-        }
-        counters.docs_materialized += out.len() as u64;
-        Ok(out)
-    }
-
-    /// [`filtered`](Self::filtered) for a disk-resident base: identical
-    /// cache structure and `And`-left decomposition — only the innermost
-    /// (whole-corpus) scan streams pages; every extension scan runs over
-    /// the cached in-memory subset exactly as in the RAM path.
-    fn filtered_paged(
-        &mut self,
-        base: &str,
-        corpus: &Arc<PagedCorpus>,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
-        if !self.eviction {
-            let key = Self::cache_key(base, predicate);
-            if let Some(hit) = self.cache.get(&key) {
-                counters.cache_hits += 1;
-                return Ok(Arc::clone(hit));
-            }
-            let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
-                let parent = self.filtered_paged(base, corpus, left, counters)?;
-                Arc::new(self.scan(&parent, right, counters)?)
-            } else {
-                Arc::new(self.scan_paged(corpus, predicate, counters)?)
-            };
-            self.cache.insert(key, Arc::clone(&result));
-            Ok(result)
-        } else {
-            Ok(Arc::new(self.scan_paged(corpus, predicate, counters)?))
-        }
-    }
 }
 
-impl Engine for JodaSim {
+impl<E: Evaluator> Engine for Joda<E> {
     fn name(&self) -> &'static str {
-        "JODA"
+        E::NAME
     }
 
     fn short_name(&self) -> &'static str {
-        "joda"
+        E::SHORT_NAME
     }
 
     fn import(&mut self, name: &str, docs: &[Value]) -> Result<ExecutionReport, EngineError> {
-        self.cancel.check("JODA import")?;
+        self.check("import")?;
         let started = Instant::now();
         let mut counters = WorkCounters::default();
         let text = betze_json::to_json_lines(docs);
@@ -251,42 +333,33 @@ impl Engine for JodaSim {
             name: name.to_owned(),
             message: format!("parse failed: {e}"),
         })?;
-        self.paged.remove(name);
-        self.datasets.insert(name.to_owned(), Arc::new(parsed));
+        self.eval
+            .bind_base(name, || betze_stats::analyze(name, &parsed));
+        self.bind(name, Base::Ram(Arc::new(parsed)));
         if self.eviction {
             self.raw.insert(name.to_owned(), text);
         }
-        Ok(ExecutionReport::from_counters(
-            started.elapsed(),
-            counters,
-            &self.model(),
-        ))
+        Ok(self.report(started, counters))
     }
 
     fn import_paged(&mut self, corpus: &Arc<PagedCorpus>) -> Result<ExecutionReport, EngineError> {
-        self.cancel.check("JODA import")?;
+        self.check("import")?;
         let started = Instant::now();
-        // The footer records document and JSON-lines byte counts computed
-        // with the same serializer the in-RAM import runs, so the import
-        // charge — and hence its modeled time — is bit-identical.
+        // The footer's document and JSON-lines byte counts, and its
+        // analysis, are bit-identical to what the in-RAM import computes.
         let counters = WorkCounters {
             import_docs: corpus.doc_count(),
             import_bytes: corpus.json_bytes(),
             ..Default::default()
         };
-        let name = corpus.name().to_owned();
-        self.datasets.remove(&name);
-        self.raw.remove(&name);
-        self.paged.insert(name, Arc::clone(corpus));
-        Ok(ExecutionReport::from_counters(
-            started.elapsed(),
-            counters,
-            &self.model(),
-        ))
+        let name = corpus.name();
+        self.eval.bind_base(name, || corpus.analysis().clone());
+        self.bind(name, Base::Paged(Arc::clone(corpus)));
+        Ok(self.report(started, counters))
     }
 
     fn execute(&mut self, query: &Query) -> Result<QueryOutcome, EngineError> {
-        self.cancel.check("JODA execute")?;
+        self.check("execute")?;
         let started = Instant::now();
         let mut counters = WorkCounters {
             queries: 1,
@@ -302,43 +375,37 @@ impl Engine for JodaSim {
                 let parsed = betze_json::parse_many(text).map_err(|e| EngineError::Storage {
                     message: format!("re-import parse failed: {e}"),
                 })?;
-                self.datasets.insert(query.base.clone(), Arc::new(parsed));
-            } else if let Some(corpus) = self.paged.get(&query.base) {
+                self.datasets
+                    .insert(query.base.clone(), Base::Ram(Arc::new(parsed)));
+            } else if let Some(Base::Paged(corpus)) = self.datasets.get(&query.base) {
                 counters.bytes_parsed += corpus.json_bytes();
             }
         }
 
-        let filtered = if let Some(base_docs) = self.datasets.get(&query.base).cloned() {
-            match &query.filter {
-                Some(predicate) => {
-                    self.filtered(&query.base, &base_docs, predicate, &mut counters)?
-                }
-                None => {
-                    counters.docs_scanned += base_docs.len() as u64;
-                    base_docs
-                }
-            }
-        } else if let Some(corpus) = self.paged.get(&query.base).cloned() {
-            match &query.filter {
-                Some(predicate) => {
-                    self.filtered_paged(&query.base, &corpus, predicate, &mut counters)?
-                }
-                // An unfiltered query's result *is* the whole corpus —
-                // materializing it is inherent to the query, not to the
-                // storage path, and the charge matches the RAM path.
-                None => {
-                    counters.docs_scanned += corpus.doc_count();
-                    Arc::new(
-                        corpus
-                            .materialize()
-                            .map_err(|e| EngineError::from_store(&e, "materialize corpus"))?,
-                    )
-                }
-            }
-        } else {
+        let Some(base) = self.datasets.get(&query.base).cloned() else {
             return Err(EngineError::UnknownDataset {
                 name: query.base.clone(),
             });
+        };
+        let filtered = match (&query.filter, base) {
+            (Some(predicate), base) => {
+                self.filtered(&query.base, &base, predicate, &mut counters)?
+            }
+            (None, Base::Ram(docs)) => {
+                counters.docs_scanned += docs.len() as u64;
+                docs
+            }
+            // An unfiltered query's result *is* the whole corpus —
+            // materializing it is inherent to the query, not to the
+            // storage path, and the charge matches the RAM path.
+            (None, Base::Paged(corpus)) => {
+                counters.docs_scanned += corpus.doc_count();
+                Arc::new(
+                    corpus
+                        .materialize()
+                        .map_err(|e| EngineError::from_store(&e, "materialize corpus"))?,
+                )
+            }
         };
 
         // Transformations (§VII) change the result documents — and hence
@@ -353,11 +420,13 @@ impl Engine for JodaSim {
         };
 
         if let Some(store) = &query.store_as {
-            self.datasets.insert(store.clone(), Arc::clone(&result));
+            self.eval
+                .bind_stored(&query.base, store, !query.transforms.is_empty());
+            self.bind(store, Base::Ram(Arc::clone(&result)));
         }
 
         let docs: Vec<Value> = match &query.aggregation {
-            Some(agg) => agg.eval(&result),
+            Some(agg) => self.eval.aggregate(agg, &result),
             None => result.as_ref().clone(),
         };
         if self.output_enabled {
@@ -375,23 +444,22 @@ impl Engine for JodaSim {
 
         Ok(QueryOutcome {
             docs,
-            report: ExecutionReport::from_counters(started.elapsed(), counters, &self.model()),
+            report: self.report(started, counters),
         })
     }
 
     fn forget(&mut self, name: &str) -> bool {
         self.raw.remove(name);
-        self.cache
-            .retain(|key, _| !key.starts_with(&format!("{name}|")));
-        let paged = self.paged.remove(name).is_some();
-        self.datasets.remove(name).is_some() || paged
+        self.cache.remove(name);
+        self.eval.unbind(name);
+        self.datasets.remove(name).is_some()
     }
 
     fn reset(&mut self) {
         self.datasets.clear();
-        self.paged.clear();
         self.raw.clear();
         self.cache.clear();
+        self.eval.clear();
     }
 
     fn threads(&self) -> usize {
@@ -525,6 +593,19 @@ mod tests {
         );
         assert!(r2.report.counters.bytes_parsed > 0);
         assert_eq!(r1.docs, r2.docs);
+    }
+
+    #[test]
+    fn eviction_mode_keeps_a_store_over_the_base_name() {
+        // Rebinding the imported name to a stored result retires its raw
+        // text: later queries read the stored result, not a re-parse.
+        let mut joda = JodaSim::with_eviction(1);
+        joda.import("t", &docs()).unwrap();
+        let store = Query::scan("t").with_filter(even()).store_as("t");
+        joda.execute(&store).unwrap();
+        let out = joda.execute(&Query::scan("t")).unwrap();
+        assert_eq!(out.docs.len(), 50);
+        assert_eq!(out.report.counters.bytes_parsed, 0);
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //!
 //! | engine       | storage                               | execution |
 //! |--------------|----------------------------------------|-----------|
-//! | [`JodaSim`]  | in-memory parsed documents             | multi-threaded scans; intermediate result reuse (Delta-Tree-style predicate-prefix cache); optional eviction mode |
+//! | [`JodaSim`]  | in-memory parsed documents or paged `.bcorp` corpora | multi-threaded scans; intermediate result reuse (Delta-Tree-style predicate-prefix cache); optional eviction mode |
 //! | [`MongoSim`] | from-scratch BSON-like binary format   | single-threaded; per-document match via binary navigation |
 //! | [`PgSim`]    | from-scratch JSONB-like binary format (sorted keys, offset tables) | single-threaded; expensive import, cheap binary-search lookups |
 //! | [`JqSim`]    | none — the raw JSON-lines file on disk | re-reads and re-parses the file for every query |
 //!
-//! [`VmEngine`] is a fifth, opt-in engine: JODA's architecture with
-//! predicate scans compiled to betze-vm register bytecode and executed
-//! vectorized over batches — bit-identical results, measurably faster
-//! harness (DESIGN.md §14). It is not part of [`all_engines`] because its
-//! results duplicate [`JodaSim`]'s by construction.
+//! [`JodaSim`] and the opt-in [`VmEngine`] are one [`Joda`] engine with
+//! two [`Evaluator`]s: [`TreeWalk`] matches predicates per document,
+//! [`Bytecode`] runs them as betze-vm register bytecode (DESIGN.md §14).
+//! The engine owns the cache, counters and threading, so the two are
+//! bit-identical by construction, which is also why [`VmEngine`] is not
+//! part of [`all_engines`].
 //!
 //! Every execution is instrumented with [`WorkCounters`], and a
 //! deterministic [`CostModel`] maps counters to a **modeled time** whose
@@ -48,11 +49,11 @@ pub use cancel::{install_shutdown_handler, install_sigint_handler, CancelToken};
 pub use chaos::{ChaosEngine, FaultEvent, FaultKind, FaultPlan};
 pub use coststats::corpus_cost_stats;
 pub use engine::{Engine, EngineError, ExecutionReport, QueryOutcome};
-pub use joda::JodaSim;
+pub use joda::{Evaluator, Joda, JodaSim, TreeWalk};
 pub use jqsim::JqSim;
 pub use mongo::MongoSim;
 pub use pg::PgSim;
-pub use vm::VmEngine;
+pub use vm::{Bytecode, VmEngine};
 
 /// All four engines with default configurations (JODA at the given thread
 /// count). The order matches the paper's tables.

@@ -1,56 +1,30 @@
-//! The bytecode-VM engine: JODA's architecture with vectorized predicate
-//! execution.
+//! The bytecode evaluator (DESIGN.md §14–15).
 //!
-//! [`VmEngine`] is a drop-in replacement for [`JodaSim`](crate::JodaSim)
-//! whose scans run compiled betze-vm programs over document batches
-//! instead of tree-walking the predicate per document. Corpora that get
-//! scanned repeatedly (base datasets, hot cached prefixes) are
-//! additionally shredded into a columnar [`Projection`] on their second
-//! scan, after which predicate evaluation never touches the document
-//! trees at all. Everything that
-//! determines *results* — the Delta-Tree-style `(base, predicate)`
-//! cache, the `And`-left prefix decomposition, every [`WorkCounters`]
-//! charge (including the leaf-count × docs upper bound for
-//! `predicate_evals`), the JODA cost profile, the ≥1024-docs threading
-//! threshold, cancel polling — is kept structurally identical, so
-//! cardinalities, stored datasets, report cells, modeled times, and
-//! chaos fault schedules are bit-identical to the tree-walker. The
-//! differential oracle in `tests/tests/vm.rs` proves it across the
-//! 100-seed × 3-preset sweep.
+//! [`VmEngine`] is the [`Joda`] engine with the [`Bytecode`] evaluator:
+//! scans run compiled betze-vm programs over document batches instead
+//! of tree-walking the predicate per document, and corpora scanned
+//! repeatedly are shredded into a columnar [`Projection`] on their
+//! second scan. Everything that determines results and charges lives in
+//! [`Joda`], so the engine is bit-identical to
+//! [`JodaSim`](crate::JodaSim) by construction; the differential oracle
+//! in `tests/tests/vm.rs` checks that both evaluators select the same
+//! documents.
 //!
-//! Programs are built by the verified optimizer (DESIGN.md §15) by
-//! default: each import is analyzed once (`betze_stats::analyze`), the
-//! analysis is bridged to per-arm selectivity facts
-//! (`betze_lint::vm_arm_facts`) and propagated through untransformed
-//! `store_as` chains (a stored filter result is a *subset* of its base
-//! corpus, so matches-none/matches-all facts remain sound; any
-//! transform drops the analysis and optimization falls back to
-//! structural rewrites only). Whether the columnar fast path applies
-//! (`is_projectable`) is decided on the *optimized* program — dead-arm
-//! elimination can remove the one non-canonical-token leaf that
-//! disqualified the query. [`VmEngine::set_optimize`] (CLI
-//! `--no-vm-opt`) restores plain compilation.
-//!
-//! Predicates whose register pressure exceeds
-//! [`betze_vm::REGISTER_BUDGET`] even after optimization cannot be
-//! compiled; the engine falls back to tree-walking those scans (lint
-//! rule L049 warns up front, and L052 reports the rescued ones).
-//! Compiled programs are cached per `(base, predicate)` with the
-//! analysis they were optimized under; aggregations by display form.
+//! Programs are built by the verified optimizer from per-arm
+//! selectivity facts (`betze_lint::vm_arm_facts`) over the base
+//! corpus's analysis, unless [`VmEngine::set_optimize`] (CLI
+//! `--no-vm-opt`) asks for plain compilation. Predicates whose register
+//! pressure exceeds [`betze_vm::REGISTER_BUDGET`] even after
+//! optimization tree-walk instead (lint rules L049 and L052).
 
-use crate::{
-    CancelToken, CostModel, CostProfile, Engine, EngineError, ExecutionReport, QueryOutcome,
-    WorkCounters,
-};
+use crate::joda::{Evaluator, Joda};
 use betze_json::Value;
 use betze_lint::vm_arm_facts;
-use betze_model::{Predicate, Query};
+use betze_model::{Aggregation, Predicate};
 use betze_stats::DatasetAnalysis;
-use betze_store::PagedCorpus;
 use betze_vm::{ArmFacts, CompiledAggregation, Program, Projection, VmScratch};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Documents per executor batch: large enough to amortize the dispatch
 /// loop, small enough that register columns stay cache-resident.
@@ -64,40 +38,41 @@ const MIN_PROJECTED_DOCS: usize = 64;
 /// corpora; past it, projections are built, used once, and dropped.
 const MAX_PROJECTED_CELLS: usize = 32 << 20;
 
-/// A cached program entry: the analysis it was optimized under (for the
-/// `Arc::ptr_eq` staleness check) and the program itself — `None` marks
-/// a register-budget fallback.
-type CachedProgram = (Option<Arc<DatasetAnalysis>>, Arc<Option<Program>>);
+/// JODA's engine with predicate scans compiled to register bytecode and
+/// executed vectorized (DESIGN.md §14).
+pub type VmEngine = Joda<Bytecode>;
 
-/// JODA's architecture with predicate scans compiled to register
-/// bytecode and executed vectorized (DESIGN.md §14).
-#[derive(Debug)]
-pub struct VmEngine {
-    threads: usize,
-    output_enabled: bool,
-    /// Run predicates through the verified optimizer (default); plain
-    /// compilation when off.
-    optimize: bool,
-    cancel: CancelToken,
-    datasets: HashMap<String, Arc<Vec<Value>>>,
-    /// Disk-resident base corpora, scanned page-at-a-time (one page's
-    /// documents per VM batch, reusing the engine's scratch).
-    paged: HashMap<String, Arc<PagedCorpus>>,
-    /// Base-corpus analyses by dataset name: computed at import,
-    /// propagated through untransformed `store_as`, dropped on
-    /// transforms (facts would no longer be sound).
-    analyses: HashMap<String, Arc<DatasetAnalysis>>,
-    /// Delta-Tree-style cache: canonical `(base | predicate)` key → result.
-    cache: HashMap<String, Arc<Vec<Value>>>,
-    /// Compiled programs per `(base | predicate)` key, tagged with the
-    /// analysis they were optimized under (`Arc::ptr_eq` staleness
-    /// check — re-importing a dataset invalidates its entries). `None`
-    /// programs mark trees that exceeded the register budget even after
-    /// optimization (tree-walk fallback).
-    programs: HashMap<String, CachedProgram>,
+impl VmEngine {
+    /// Enables or disables the verified optimizer (CLI `--no-vm-opt`).
+    /// Clears the program cache: cached entries were built under the
+    /// other setting.
+    pub fn set_optimize(&mut self, on: bool) {
+        if self.eval.plain == on {
+            self.eval.plain = !on;
+            for binding in self.eval.bindings.values_mut() {
+                binding.programs.clear();
+            }
+        }
+    }
+
+    /// Whether the optimizer is enabled.
+    pub fn optimize_enabled(&self) -> bool {
+        !self.eval.plain
+    }
+}
+
+/// The bytecode [`Evaluator`]: compiled, optionally optimized register
+/// programs, run batched or over a cached columnar projection.
+#[derive(Debug, Default)]
+pub struct Bytecode {
+    /// Plain compilation; by default predicates run through the
+    /// verified optimizer.
+    plain: bool,
+    /// Per dataset name; rebinding the name starts afresh.
+    bindings: HashMap<String, Binding>,
     /// Compiled aggregations by display form.
     aggs: HashMap<String, Arc<CompiledAggregation>>,
-    /// Reused single-thread execution state (allocation-free steady state).
+    /// Reused execution state (allocation-free steady state).
     scratch: VmScratch,
     matched: Vec<u32>,
     /// Shredded-corpus cache keyed by the scanned `Arc`'s address. The
@@ -112,106 +87,24 @@ pub struct VmEngine {
     projected_cells: usize,
 }
 
-impl VmEngine {
-    /// A VM engine with the given scan thread count.
-    pub fn new(threads: usize) -> Self {
-        VmEngine {
-            threads: threads.max(1),
-            output_enabled: true,
-            optimize: true,
-            cancel: CancelToken::new(),
-            datasets: HashMap::new(),
-            paged: HashMap::new(),
-            analyses: HashMap::new(),
-            cache: HashMap::new(),
-            programs: HashMap::new(),
-            aggs: HashMap::new(),
-            scratch: VmScratch::new(),
-            matched: Vec::new(),
-            projections: HashMap::new(),
-            scan_seen: HashMap::new(),
-            projected_cells: 0,
-        }
-    }
+/// What the evaluator knows about one dataset name.
+#[derive(Debug, Default)]
+struct Binding {
+    /// The base-corpus analysis: computed at import, propagated through
+    /// untransformed `store_as`, absent after transforms (facts would no
+    /// longer be sound).
+    analysis: Option<Arc<DatasetAnalysis>>,
+    /// Compiled programs by predicate, built under `analysis`. `None`
+    /// marks a tree that exceeded the register budget even after
+    /// optimization (tree-walk fallback).
+    programs: HashMap<String, Arc<Option<Program>>>,
+}
 
-    fn model(&self) -> CostModel {
-        // Same profile and thread count as JodaSim — identical counters
-        // therefore yield identical modeled times.
-        CostModel::new(CostProfile::joda(), self.threads)
-    }
-
-    fn cache_key(base: &str, predicate: &Predicate) -> String {
-        format!("{base}|{predicate}")
-    }
-
-    /// Enables or disables the verified optimizer (CLI `--no-vm-opt`).
-    /// Clears the program cache: cached entries were built under the
-    /// other setting.
-    pub fn set_optimize(&mut self, on: bool) {
-        if self.optimize != on {
-            self.optimize = on;
-            self.programs.clear();
-        }
-    }
-
-    /// Whether the optimizer is enabled.
-    pub fn optimize_enabled(&self) -> bool {
-        self.optimize
-    }
-
-    /// Builds (or recalls) the program for a predicate scanned over
-    /// `base`'s corpus. `None` means the register budget was exceeded —
-    /// even after optimization, when enabled — and scans tree-walk
-    /// instead. Optimization errors degrade to plain compilation, never
-    /// to a miscompiled program (every optimizer output is verified).
-    fn program_for(&mut self, base: &str, predicate: &Predicate) -> Arc<Option<Program>> {
-        let key = Self::cache_key(base, predicate);
-        let analysis = self.analyses.get(base).cloned();
-        if let Some((under, hit)) = self.programs.get(&key) {
-            let fresh = match (under, &analysis) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            };
-            if fresh {
-                return Arc::clone(hit);
-            }
-        }
-        let program = if self.optimize {
-            let facts = analysis
-                .as_deref()
-                .map(|a| vm_arm_facts(predicate, a))
-                .unwrap_or_else(ArmFacts::none);
-            match betze_vm::optimize(predicate, &facts) {
-                Ok(optimized) => Some(optimized.program),
-                Err(_) => betze_vm::compile(predicate).ok(),
-            }
-        } else {
-            betze_vm::compile(predicate).ok()
-        };
-        let program = Arc::new(program);
-        self.programs.insert(key, (analysis, Arc::clone(&program)));
-        program
-    }
-
-    fn agg_for(&mut self, agg: &betze_model::Aggregation) -> Arc<CompiledAggregation> {
-        let key = agg.to_string();
-        if let Some(hit) = self.aggs.get(&key) {
-            return Arc::clone(hit);
-        }
-        let compiled = Arc::new(CompiledAggregation::compile(agg));
-        self.aggs.insert(key, Arc::clone(&compiled));
-        compiled
-    }
-
+impl Bytecode {
     /// Returns a projection of the corpus if it has earned one: the
     /// build costs about one tree-walk scan, so it happens on the
-    /// *second* scan of the same `Arc` — exactly the repeated-scan
-    /// shape of session workloads (base datasets and hot cached
-    /// prefixes). The cache keys on the `Arc` address and keeps the
-    /// `Arc` alive, so a key can never dangle or be recycled while
-    /// cached. Purely an execution strategy: results and counters are
-    /// unchanged.
+    /// *second* scan of the same `Arc` — the repeated-scan shape of
+    /// session workloads (base datasets and hot cached prefixes).
     fn projection_for(&mut self, docs: &Arc<Vec<Value>>) -> Option<Arc<Projection>> {
         if docs.len() < MIN_PROJECTED_DOCS {
             return None;
@@ -239,397 +132,154 @@ impl VmEngine {
         Some(proj)
     }
 
-    /// Batched filter scan. Counter charges mirror `JodaSim::scan`
-    /// exactly: `predicate_evals` stays the leaf-count × docs upper
-    /// bound, not the (smaller) number of lanes the VM actually touched,
-    /// because the cost model prices the scan, not the execution
-    /// strategy.
-    fn scan(
-        &mut self,
-        base: &str,
-        docs: &Arc<Vec<Value>>,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
-        self.cancel.check("VM scan")?;
-        counters.docs_scanned += docs.len() as u64;
-        // Charged from the ORIGINAL predicate, not the optimized program:
-        // the cost model prices the workload's stated work, and dropping
-        // a provably-dead arm must not perturb modeled times.
-        let leaves = predicate.leaf_count() as u64;
-        counters.predicate_evals += leaves * docs.len() as u64;
-        let program = self.program_for(base, predicate);
-        if let Some(prog) = program.as_ref() {
-            if prog.is_projectable() {
-                if let Some(proj) = self.projection_for(docs) {
-                    prog.run_projected(&proj, &mut self.scratch, &mut self.matched);
-                    let out: Vec<Value> = self
-                        .matched
-                        .iter()
-                        .map(|&lane| docs[lane as usize].clone())
-                        .collect();
-                    counters.docs_materialized += out.len() as u64;
-                    return Ok(out);
-                }
-            }
-        }
-        let docs: &[Value] = docs;
-        if self.threads <= 1 || docs.len() < 1024 {
-            let out = match program.as_ref() {
-                Some(prog) => {
-                    let mut out = Vec::new();
-                    for (i, chunk) in docs.chunks(BATCH).enumerate() {
-                        let base = i * BATCH;
-                        prog.run(chunk, &mut self.scratch, &mut self.matched);
-                        out.extend(
-                            self.matched
-                                .iter()
-                                .map(|&lane| docs[base + lane as usize].clone()),
-                        );
-                    }
-                    out
-                }
-                // Register budget exceeded: tree-walk this scan.
-                None => docs
-                    .iter()
-                    .filter(|d| predicate.matches(d))
-                    .cloned()
-                    .collect(),
-            };
-            counters.docs_materialized += out.len() as u64;
-            return Ok(out);
-        }
-        let chunk = docs.len().div_ceil(self.threads);
-        let program = &program;
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || match program.as_ref() {
-                        Some(prog) => {
-                            let mut scratch = VmScratch::new();
-                            let mut matched = Vec::new();
-                            let mut out = Vec::new();
-                            for (i, batch) in part.chunks(BATCH).enumerate() {
-                                let base = i * BATCH;
-                                prog.run(batch, &mut scratch, &mut matched);
-                                out.extend(
-                                    matched
-                                        .iter()
-                                        .map(|&lane| part[base + lane as usize].clone()),
-                                );
-                            }
-                            out
-                        }
-                        None => part
-                            .iter()
-                            .filter(|d| predicate.matches(d))
-                            .cloned()
-                            .collect::<Vec<Value>>(),
-                    })
-                })
-                .collect();
-            let mut out = Vec::new();
-            for handle in handles {
-                out.extend(handle.join().expect("scan worker panicked"));
-            }
-            counters.docs_materialized += out.len() as u64;
-            out
-        }))
-    }
-
-    /// Resolves the filtered document set for `(base, predicate)` with
-    /// the same cache structure and `And`-left decomposition as
-    /// `JodaSim::filtered`.
-    fn filtered(
-        &mut self,
-        base: &str,
-        base_docs: &Arc<Vec<Value>>,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
-        let key = Self::cache_key(base, predicate);
-        if let Some(hit) = self.cache.get(&key) {
-            counters.cache_hits += 1;
-            return Ok(Arc::clone(hit));
-        }
-        // The right-arm scan runs over a cached *subset* of `base`'s
-        // corpus, so optimizing it under `base`'s analysis stays sound
-        // (matches-none/matches-all facts survive taking subsets).
-        let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
-            let parent = self.filtered(base, base_docs, left, counters)?;
-            Arc::new(self.scan(base, &parent, right, counters)?)
-        } else {
-            Arc::new(self.scan(base, base_docs, predicate, counters)?)
-        };
-        self.cache.insert(key, Arc::clone(&result));
-        Ok(result)
-    }
-
-    /// Streaming batched scan over a disk-resident corpus: the VM
-    /// executor consumes one page's documents per batch, reusing the
-    /// engine's scratch, so memory stays O(pages-in-flight). Charges sum
-    /// to exactly what [`scan`](Self::scan) charges for the whole corpus.
-    /// Pages never earn a projection (each page's `Arc` lives for one
-    /// batch — there is no repeated scan of the same allocation to
-    /// amortize a shred against), which is purely an execution strategy
-    /// and moves no counter.
-    fn scan_paged(
-        &mut self,
-        base: &str,
-        corpus: &PagedCorpus,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
-        let leaves = predicate.leaf_count() as u64;
-        let program = self.program_for(base, predicate);
-        let mut out = Vec::new();
-        for index in 0..corpus.page_count() {
-            self.cancel.check("VM scan")?;
-            let page = corpus
-                .read_page(index)
-                .map_err(|e| EngineError::from_store(&e, "scan page"))?;
-            counters.docs_scanned += page.docs.len() as u64;
-            counters.predicate_evals += leaves * page.docs.len() as u64;
-            match program.as_ref() {
-                Some(prog) => {
-                    for (i, chunk) in page.docs.chunks(BATCH).enumerate() {
-                        let batch_base = i * BATCH;
-                        prog.run(chunk, &mut self.scratch, &mut self.matched);
-                        out.extend(
-                            self.matched
-                                .iter()
-                                .map(|&lane| page.docs[batch_base + lane as usize].clone()),
-                        );
-                    }
-                }
-                // Register budget exceeded: tree-walk this scan.
-                None => out.extend(page.docs.iter().filter(|d| predicate.matches(d)).cloned()),
-            }
-        }
-        counters.docs_materialized += out.len() as u64;
-        Ok(out)
-    }
-
-    /// [`filtered`](Self::filtered) for a disk-resident base: identical
-    /// cache structure and `And`-left decomposition — only the innermost
-    /// (whole-corpus) scan streams pages; extension scans run over the
-    /// cached in-memory subset and keep the projection fast path.
-    fn filtered_paged(
-        &mut self,
-        base: &str,
-        corpus: &Arc<PagedCorpus>,
-        predicate: &Predicate,
-        counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
-        let key = Self::cache_key(base, predicate);
-        if let Some(hit) = self.cache.get(&key) {
-            counters.cache_hits += 1;
-            return Ok(Arc::clone(hit));
-        }
-        let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
-            let parent = self.filtered_paged(base, corpus, left, counters)?;
-            Arc::new(self.scan(base, &parent, right, counters)?)
-        } else {
-            Arc::new(self.scan_paged(base, corpus, predicate, counters)?)
-        };
-        self.cache.insert(key, Arc::clone(&result));
-        Ok(result)
+    /// Drops every projection. Conservative: dropped corpora would
+    /// otherwise be pinned by their cached projections; survivors
+    /// re-shred on their next repeat scan.
+    fn drop_projections(&mut self) {
+        self.projections.clear();
+        self.scan_seen.clear();
+        self.projected_cells = 0;
     }
 }
 
-impl Engine for VmEngine {
-    fn name(&self) -> &'static str {
-        "JODA-VM"
+impl Evaluator for Bytecode {
+    const NAME: &'static str = "JODA-VM";
+    const SHORT_NAME: &'static str = "vm";
+    const TAG: &'static str = "VM";
+
+    type Plan = Arc<Option<Program>>;
+
+    /// Builds (or recalls) the program for a predicate scanned over (a
+    /// subset of) `base`'s corpus; matches-none/matches-all facts
+    /// survive taking subsets. Optimization errors degrade to plain
+    /// compilation, never to a miscompiled program.
+    fn plan(&mut self, base: &str, predicate: &Predicate) -> Arc<Option<Program>> {
+        let key = predicate.to_string();
+        let binding = self.bindings.entry(base.to_owned()).or_default();
+        if let Some(hit) = binding.programs.get(&key) {
+            return Arc::clone(hit);
+        }
+        let program = if self.plain {
+            betze_vm::compile(predicate).ok()
+        } else {
+            let facts = binding
+                .analysis
+                .as_deref()
+                .map(|a| vm_arm_facts(predicate, a))
+                .unwrap_or_else(ArmFacts::none);
+            match betze_vm::optimize(predicate, &facts) {
+                Ok(optimized) => Some(optimized.program),
+                Err(_) => betze_vm::compile(predicate).ok(),
+            }
+        };
+        let program = Arc::new(program);
+        binding.programs.insert(key, Arc::clone(&program));
+        program
     }
 
-    fn short_name(&self) -> &'static str {
-        "vm"
+    fn select(
+        &mut self,
+        plan: &Arc<Option<Program>>,
+        predicate: &Predicate,
+        docs: &[Value],
+        out: &mut Vec<Value>,
+    ) {
+        match plan.as_ref() {
+            Some(prog) => {
+                for (i, batch) in docs.chunks(BATCH).enumerate() {
+                    let base = i * BATCH;
+                    prog.run(batch, &mut self.scratch, &mut self.matched);
+                    out.extend(
+                        self.matched
+                            .iter()
+                            .map(|&lane| docs[base + lane as usize].clone()),
+                    );
+                }
+            }
+            // Register budget exceeded: tree-walk this scan.
+            None => out.extend(docs.iter().filter(|d| predicate.matches(d)).cloned()),
+        }
     }
 
-    fn import(&mut self, name: &str, docs: &[Value]) -> Result<ExecutionReport, EngineError> {
-        self.cancel.check("VM import")?;
-        let started = Instant::now();
-        let mut counters = WorkCounters::default();
-        let text = betze_json::to_json_lines(docs);
-        counters.import_docs = docs.len() as u64;
-        counters.import_bytes = text.len() as u64;
-        let parsed = betze_json::parse_many(&text).map_err(|e| EngineError::ImportFailed {
-            name: name.to_owned(),
-            message: format!("parse failed: {e}"),
-        })?;
-        // Analyze once per import; the optimizer derives selectivity
-        // facts from this. A re-import mints a fresh `Arc`, which the
-        // `ptr_eq` check in `program_for` treats as invalidation.
-        self.analyses.insert(
+    /// Serves projectable programs from the corpus's projection once it
+    /// has earned one. Pages never do: each page's documents live for
+    /// one batch, so there is no repeated scan of the same allocation
+    /// to amortize a shred against.
+    fn select_projected(
+        &mut self,
+        plan: &Arc<Option<Program>>,
+        docs: &Arc<Vec<Value>>,
+    ) -> Option<Vec<Value>> {
+        let prog = plan.as_ref().as_ref().filter(|p| p.is_projectable())?;
+        let proj = self.projection_for(docs)?;
+        prog.run_projected(&proj, &mut self.scratch, &mut self.matched);
+        Some(
+            self.matched
+                .iter()
+                .map(|&lane| docs[lane as usize].clone())
+                .collect(),
+        )
+    }
+
+    fn aggregate(&mut self, agg: &Aggregation, docs: &[Value]) -> Vec<Value> {
+        let key = agg.to_string();
+        let compiled = self
+            .aggs
+            .entry(key)
+            .or_insert_with(|| Arc::new(CompiledAggregation::compile(agg)));
+        compiled.eval(docs)
+    }
+
+    /// Analyzes once per import; the optimizer derives selectivity facts
+    /// from this.
+    fn bind_base(&mut self, name: &str, analysis: impl FnOnce() -> DatasetAnalysis) {
+        let analysis = Some(Arc::new(analysis()));
+        self.bindings.insert(
             name.to_owned(),
-            Arc::new(betze_stats::analyze(name, &parsed)),
+            Binding {
+                analysis,
+                ..Default::default()
+            },
         );
-        self.paged.remove(name);
-        self.datasets.insert(name.to_owned(), Arc::new(parsed));
-        Ok(ExecutionReport::from_counters(
-            started.elapsed(),
-            counters,
-            &self.model(),
-        ))
     }
 
-    fn import_paged(&mut self, corpus: &Arc<PagedCorpus>) -> Result<ExecutionReport, EngineError> {
-        self.cancel.check("VM import")?;
-        let started = Instant::now();
-        // Footer doc/byte counts use the in-RAM serializer's exact
-        // semantics, so the import charge is bit-identical; the footer's
-        // embedded analysis is proven bit-identical to analyzing the
-        // materialized documents (it was built incrementally at emit time
-        // and verified against the written pages), so the optimizer sees
-        // the same facts it would have derived in RAM.
-        let counters = WorkCounters {
-            import_docs: corpus.doc_count(),
-            import_bytes: corpus.json_bytes(),
-            ..Default::default()
+    /// An untransformed store is a subset of its base corpus, so the
+    /// base analysis stays sound for it; any transform could move values
+    /// outside the proven bounds, so it is dropped.
+    fn bind_stored(&mut self, base: &str, store: &str, transformed: bool) {
+        let analysis = match self.bindings.get(base) {
+            Some(binding) if !transformed => binding.analysis.clone(),
+            _ => None,
         };
-        let name = corpus.name().to_owned();
-        self.analyses
-            .insert(name.clone(), Arc::new(corpus.analysis().clone()));
-        self.datasets.remove(&name);
-        self.paged.insert(name, Arc::clone(corpus));
-        Ok(ExecutionReport::from_counters(
-            started.elapsed(),
-            counters,
-            &self.model(),
-        ))
+        self.bindings.insert(
+            store.to_owned(),
+            Binding {
+                analysis,
+                ..Default::default()
+            },
+        );
     }
 
-    fn execute(&mut self, query: &Query) -> Result<QueryOutcome, EngineError> {
-        self.cancel.check("VM execute")?;
-        let started = Instant::now();
-        let mut counters = WorkCounters {
-            queries: 1,
-            ..Default::default()
-        };
-        let filtered = if let Some(base_docs) = self.datasets.get(&query.base).cloned() {
-            match &query.filter {
-                Some(predicate) => {
-                    self.filtered(&query.base, &base_docs, predicate, &mut counters)?
-                }
-                None => {
-                    counters.docs_scanned += base_docs.len() as u64;
-                    base_docs
-                }
-            }
-        } else if let Some(corpus) = self.paged.get(&query.base).cloned() {
-            match &query.filter {
-                Some(predicate) => {
-                    self.filtered_paged(&query.base, &corpus, predicate, &mut counters)?
-                }
-                None => {
-                    counters.docs_scanned += corpus.doc_count();
-                    Arc::new(
-                        corpus
-                            .materialize()
-                            .map_err(|e| EngineError::from_store(&e, "materialize corpus"))?,
-                    )
-                }
-            }
-        } else {
-            return Err(EngineError::UnknownDataset {
-                name: query.base.clone(),
-            });
-        };
-
-        let result: Arc<Vec<Value>> = if query.transforms.is_empty() {
-            filtered
-        } else {
-            let mut transformed = filtered.as_ref().clone();
-            counters.transform_ops += (transformed.len() * query.transforms.len()) as u64;
-            betze_model::apply_all(&query.transforms, &mut transformed);
-            Arc::new(transformed)
-        };
-
-        if let Some(store) = &query.store_as {
-            // An untransformed store is a subset of its base corpus, so
-            // the base analysis stays sound for it; any transform could
-            // move values outside the proven bounds, so drop it.
-            if query.transforms.is_empty() {
-                if let Some(analysis) = self.analyses.get(&query.base).cloned() {
-                    self.analyses.insert(store.clone(), analysis);
-                } else {
-                    self.analyses.remove(store.as_str());
-                }
-            } else {
-                self.analyses.remove(store.as_str());
-            }
-            self.datasets.insert(store.clone(), Arc::clone(&result));
-        }
-
-        let docs: Vec<Value> = match &query.aggregation {
-            Some(agg) => self.agg_for(agg).eval(&result),
-            None => result.as_ref().clone(),
-        };
-        if self.output_enabled {
-            counters.docs_output += docs.len() as u64;
-            counters.bytes_output += docs.iter().map(|d| d.approx_size() as u64).sum::<u64>();
-        }
-
-        Ok(QueryOutcome {
-            docs,
-            report: ExecutionReport::from_counters(started.elapsed(), counters, &self.model()),
-        })
+    fn unbind(&mut self, name: &str) {
+        self.bindings.remove(name);
+        self.drop_projections();
     }
 
-    fn forget(&mut self, name: &str) -> bool {
-        let prefix = format!("{name}|");
-        self.cache.retain(|key, _| !key.starts_with(&prefix));
-        self.programs.retain(|key, _| !key.starts_with(&prefix));
-        self.analyses.remove(name);
-        // Conservative: dropped corpora would otherwise be pinned by
-        // their cached projections. Survivors re-shred on their next
-        // repeat scan.
-        self.projections.clear();
-        self.scan_seen.clear();
-        self.projected_cells = 0;
-        let paged = self.paged.remove(name).is_some();
-        self.datasets.remove(name).is_some() || paged
-    }
-
-    fn reset(&mut self) {
-        self.datasets.clear();
-        self.paged.clear();
-        self.cache.clear();
-        self.projections.clear();
-        self.scan_seen.clear();
-        self.projected_cells = 0;
-        self.analyses.clear();
-        // Program/aggregation caches survive resets: aggregations are
-        // pure functions of the IR, and program entries carry the
-        // analysis they were built under, so a post-reset re-import
-        // (fresh `Arc`) makes stale entries fail the `ptr_eq` check and
-        // rebuild. They never influence results or counters.
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    fn set_cancel(&mut self, token: Option<CancelToken>) {
-        self.cancel = token.unwrap_or_default();
-    }
-
-    fn set_output_enabled(&mut self, on: bool) {
-        self.output_enabled = on;
+    /// Aggregations are pure functions of the IR and stay compiled.
+    fn clear(&mut self) {
+        self.bindings.clear();
+        self.drop_projections();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::JodaSim;
+    use crate::{Engine, EngineError, JodaSim};
     use betze_json::{json, JsonPointer};
+    use betze_model::Query;
     use betze_model::{Comparison, FilterFn};
+    use betze_store::PagedCorpus;
 
     fn ptr(s: &str) -> JsonPointer {
         JsonPointer::parse(s).unwrap()
@@ -987,6 +637,51 @@ mod tests {
             assert_eq!(a.report.counters, b.report.counters, "counters for {q:?}");
             assert_eq!(a.report.modeled, b.report.modeled, "modeled for {q:?}");
         }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn threaded_paged_extension_scan_is_bit_identical_across_evaluators() {
+        // The base scan streams pages; each extension scans the cached
+        // 2500-doc `even` subset in memory, threaded (≥ 1024 docs,
+        // 4 threads) until that subset earns a projection on its second
+        // scan. Both evaluators run inside the same engine, so the two
+        // runs must agree bit for bit.
+        let many: Vec<Value> = (0..5000)
+            .map(|i| json!({ "n": (i as i64), "even": (i % 2 == 0) }))
+            .collect();
+        let (path, corpus) = emit_corpus("threaded", &many);
+        assert!(corpus.page_count() > 1, "corpus must actually be paged");
+        let mut joda = JodaSim::new(4);
+        let mut vm = VmEngine::new(4);
+        let ji = joda.import_paged(&corpus).unwrap();
+        let vi = vm.import_paged(&corpus).unwrap();
+        assert_eq!(ji.counters, vi.counters);
+        let ge = |value: f64| {
+            Predicate::leaf(FilterFn::FloatCmp {
+                path: ptr("/n"),
+                op: Comparison::Ge,
+                value,
+            })
+        };
+        for q in [
+            Query::scan("t").with_filter(even()),
+            Query::scan("t").with_filter(even().and(small())),
+            Query::scan("t").with_filter(even().and(ge(1000.0))),
+            Query::scan("t").with_filter(even().and(ge(4000.0))),
+            Query::scan("t").with_filter(even().and(small())),
+        ] {
+            let a = joda.execute(&q).unwrap();
+            let b = vm.execute(&q).unwrap();
+            assert_eq!(a.docs, b.docs, "docs for {q:?}");
+            assert_eq!(a.report.counters, b.report.counters, "counters for {q:?}");
+            assert_eq!(a.report.modeled, b.report.modeled, "modeled for {q:?}");
+        }
+        let ext = vm
+            .execute(&Query::scan("t").with_filter(even().and(ge(10.0))))
+            .unwrap();
+        assert_eq!(ext.report.counters.docs_scanned, 2500);
+        assert_eq!(ext.report.counters.cache_hits, 1);
         let _ = std::fs::remove_file(path);
     }
 

@@ -29,7 +29,7 @@ pub use journal::{atomic_write, Interrupted, Journal, JournalTail, Recovered, Ru
 pub use pool::SessionPool;
 pub use runner::{
     provably_empty, run_session, run_session_from_source, run_session_governed,
-    run_session_with_options, run_session_with_timeout, CorpusSource, ProgressHook, QueryStatus,
-    RetryPolicy, RunOptions, SessionOutcome, SessionRun,
+    run_session_with_options, CorpusSource, ProgressHook, QueryStatus, RetryPolicy, RunOptions,
+    SessionOutcome, SessionRun,
 };
 pub use workload::{prepare, prepare_with_analysis, Corpus, PreparedWorkload, SharedCorpus};

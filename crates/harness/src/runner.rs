@@ -133,7 +133,10 @@ impl std::fmt::Debug for ProgressHook {
 /// Options controlling one session run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Optional modeled-time timeout (Table III's 8-hour dash semantics).
+    /// Optional modeled-time timeout (Table III's 8-hour dash semantics):
+    /// execution stops once the accumulated modeled session time exceeds
+    /// it. The modeled clock keeps timeouts deterministic and
+    /// host-independent.
     pub timeout: Option<Duration>,
     /// When false, results stay as references/cursors and no output work
     /// is charged — the measurement mode of Table II and Figs. 9/10
@@ -534,23 +537,6 @@ fn first_error(run: &SessionRun) -> EngineError {
         })
 }
 
-/// [`run_session`] with an optional **modeled-time** timeout: execution
-/// stops once the accumulated modeled session time exceeds it. Using the
-/// modeled clock keeps timeout behaviour deterministic and host-
-/// independent (and saves wall time, since hopeless runs stop early).
-pub fn run_session_with_timeout(
-    engine: &mut dyn Engine,
-    dataset: &Dataset,
-    session: &Session,
-    timeout: Option<Duration>,
-) -> Result<SessionOutcome, EngineError> {
-    let options = RunOptions {
-        timeout,
-        ..RunOptions::reference()
-    };
-    run_session_with_options(engine, dataset, session, &options)
-}
-
 /// The general form: explicit [`RunOptions`].
 ///
 /// Fault handling, in order, for each query:
@@ -908,11 +894,11 @@ mod tests {
         let w = workload();
         let mut jq = JqSim::new();
         let outcome = expect_ok(
-            run_session_with_timeout(
+            run_session_with_options(
                 &mut jq,
                 &w.dataset,
                 &w.generation.session,
-                Some(Duration::from_nanos(1)),
+                &RunOptions::reference().timeout(Duration::from_nanos(1)),
             ),
             "timed-out run must not error",
         );
@@ -942,7 +928,12 @@ mod tests {
         assert!(last > Duration::ZERO);
         let limit = total - last / 2;
         let outcome = expect_ok(
-            run_session_with_timeout(&mut joda, &w.dataset, &w.generation.session, Some(limit)),
+            run_session_with_options(
+                &mut joda,
+                &w.dataset,
+                &w.generation.session,
+                &RunOptions::reference().timeout(limit),
+            ),
             "final-query timeout run must not error",
         );
         match outcome {
@@ -959,11 +950,11 @@ mod tests {
     fn generous_timeout_completes() {
         let w = workload();
         let mut joda = JodaSim::new(1);
-        let outcome = run_session_with_timeout(
+        let outcome = run_session_with_options(
             &mut joda,
             &w.dataset,
             &w.generation.session,
-            Some(Duration::from_secs(3600)),
+            &RunOptions::reference().timeout(Duration::from_secs(3600)),
         )
         .unwrap();
         assert!(outcome.completed().is_some());

@@ -7,15 +7,14 @@
 //! counter — by mirroring, engine family by engine family, the exact
 //! charging rules of the concrete engines in `betze-engines`:
 //!
-//! * **joda / vm / vm-noopt** — the JodaSim analysis cache is simulated
+//! * **joda / vm / vm-noopt** — the JODA result cache is simulated
 //!   deterministically (`And` chains split into per-prefix cache entries
-//!   keyed by `"{base}|{predicate}"`, exactly as the engine keys them),
-//!   so cache hits and the amortized per-suffix scans are charged as
-//!   *points*, not widened. The VM engine charges counters from the
-//!   original predicate even when the optimizer rewrites the program
-//!   (dead-arm elimination is semantics-preserving), so all three legs
-//!   share one transfer; the `vm` leg additionally exercises the
-//!   [`super::vmfacts`] bridge and the optimizer, as the engine would.
+//!   keyed by dataset name and predicate, exactly as the engine keys
+//!   them, and dropped when a `store_as` rebinds the name), so cache
+//!   hits and the amortized per-suffix scans are charged as *points*,
+//!   not widened. The three legs are one engine with two evaluators
+//!   that charge counters from the original predicate, so they share
+//!   one transfer.
 //! * **jq** — every query re-reads and re-parses the backing json-lines
 //!   file, so bytes scanned/parsed are charged per query from the
 //!   file-size interval tracked per dataset.
@@ -46,14 +45,15 @@ use super::card::{and_counts, clamp_counts};
 use super::engine::QueryPrediction;
 use super::interval::Interval;
 use super::transfer::analyze_predicate;
-use super::vmfacts::vm_arm_facts;
 use crate::diagnostics::{Diagnostic, LintReport, Rule, Span};
 
 /// An engine leg the cost abstraction can model.
 ///
-/// `Vm` and `VmNoOpt` share JodaSim's charging rules (the VM engine is
-/// counter-identical by design); they are separate legs so the oracle
-/// can pin that claim against both the optimized and unoptimized VM.
+/// `Vm` and `VmNoOpt` share JodaSim's charging rules: all three are one
+/// engine, which charges counters the same whichever evaluator runs, so
+/// they are counter-identical by construction. They stay separate legs
+/// so the oracle checks that against both the optimized and the
+/// unoptimized bytecode evaluator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CostEngine {
     /// JodaSim: threaded scans, analysis cache, `And`-prefix reuse.
@@ -445,10 +445,10 @@ fn leg(
     }
     let import_seconds = model.import_seconds(&import);
 
-    // The simulated analysis cache (joda family): predicate-prefix key →
-    // exact-at-the-abstraction result cardinality, mirroring the
-    // engine's `"{base}|{predicate}"` keying.
-    let mut cache: BTreeMap<String, Interval> = BTreeMap::new();
+    // The simulated analysis cache (joda family): dataset name →
+    // predicate prefix → exact-at-the-abstraction result cardinality,
+    // mirroring the engine's keying.
+    let mut cache = SimCache::new();
     let mut queries = Vec::new();
     let mut complete = true;
     for (index, query) in session.queries.iter().enumerate() {
@@ -472,6 +472,8 @@ fn leg(
         });
         if let Some(name) = &query.store_as {
             env.insert(name.clone(), stored);
+            // Rebinding a name drops its cached results, as the engine does.
+            cache.remove(name);
         }
     }
 
@@ -590,36 +592,25 @@ fn stored_ds<'a>(engine: CostEngine, query: &Query, ds: Ds<'a>, result: Interval
     }
 }
 
-/// Transfer for JodaSim and both VM legs (counter-identical engines).
+/// The simulated JODA result cache: dataset name → predicate → result
+/// cardinality.
+type SimCache = BTreeMap<String, BTreeMap<String, Interval>>;
+
+/// Transfer for the joda family: one engine whose evaluators charge
+/// identical counters, so all three legs share it.
 fn model_joda<'a>(
     engine: CostEngine,
     query: &Query,
     ds: Ds<'a>,
     prediction: Option<&QueryPrediction>,
-    cache: &mut BTreeMap<String, Interval>,
+    cache: &mut SimCache,
 ) -> (WorkBox, Interval, Ds<'a>) {
     let mut work = WorkBox::new();
     work.charge_exact(|w| &mut w.queries, 1.0);
     let result = match &query.filter {
-        Some(predicate) => {
-            if engine == CostEngine::Vm {
-                // The vm leg reuses the vmfacts bridge and runs the real
-                // optimizer, exactly as the engine's compile step does.
-                // Counters are charged from the original predicate
-                // whether or not the rewrite applies, so the outcome
-                // does not perturb the bounds.
-                let facts = match ds.origin {
-                    Some(origin) => vm_arm_facts(predicate, origin.analysis),
-                    None => betze_vm::ArmFacts::none(),
-                };
-                let _ = betze_vm::optimize(predicate, &facts)
-                    .map(|optimized| optimized.program)
-                    .or_else(|_| betze_vm::compile(predicate));
-            }
-            sim_filtered(
-                cache, query, ds, predicate, predicate, prediction, &mut work,
-            )
-        }
+        Some(predicate) => sim_filtered(
+            cache, query, ds, predicate, predicate, prediction, &mut work,
+        ),
         None => {
             // `execute` without a filter scans the base uncached.
             work.charge(|w| &mut w.docs_scanned, ds.card);
@@ -636,11 +627,11 @@ fn model_joda<'a>(
     (work, result, stored)
 }
 
-/// Simulates `JodaSim::filtered`: cache hit charges one `cache_hits`;
+/// Simulates `Joda::filtered`: cache hit charges one `cache_hits`;
 /// a miss on `And(l, r)` computes the left prefix recursively (sharing
 /// its cache entry) and scans only the suffix over the prefix result.
 fn sim_filtered(
-    cache: &mut BTreeMap<String, Interval>,
+    cache: &mut SimCache,
     query: &Query,
     ds: Ds<'_>,
     predicate: &Predicate,
@@ -648,8 +639,8 @@ fn sim_filtered(
     prediction: Option<&QueryPrediction>,
     work: &mut WorkBox,
 ) -> Interval {
-    let key = format!("{}|{}", query.base, predicate);
-    if let Some(&hit) = cache.get(&key) {
+    let key = predicate.to_string();
+    if let Some(&hit) = cache.get(&query.base).and_then(|entries| entries.get(&key)) {
         work.charge_exact(|w| &mut w.cache_hits, 1.0);
         return hit;
     }
@@ -673,7 +664,10 @@ fn sim_filtered(
             work.charge(|w| &mut w.docs_materialized, out);
         }
     }
-    cache.insert(key, out);
+    cache
+        .entry(query.base.clone())
+        .or_default()
+        .insert(key, out);
     out
 }
 
